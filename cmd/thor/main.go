@@ -71,14 +71,18 @@ func main() {
 		models  = flag.String("models", "", "with -serve: directory of per-site model files (<site>.thor.model.gz) served lazily at POST /extract/<site>")
 		drift   = flag.Bool("drift", false, "with -serve: watch served models for template drift and rebuild them in-process (models without a training baseline serve unchanged)")
 		saveTo  = flag.String("save-model", "", "train on the probed site and save the model to this file")
-		indexF  = flag.String("index", "", "with -serve: load a QA-object index (segment directory or legacy .gz snapshot) and mount GET /search + GET /sites")
-		saveIdx = flag.String("save-index", "", "probe the sites, index every extracted QA-object, and persist the index (directory of segment files; a .gz suffix selects the legacy single-file snapshot)")
+		indexF  = flag.String("index", "", "with -serve: load a QA-object index (segment directory, or a read-only legacy .gz snapshot) and mount GET /search + GET /sites")
+		saveIdx = flag.String("save-index", "", "probe the sites, index every extracted QA-object, and persist the index as a directory of segment files")
 		idxShd  = flag.Int("index-shards", 4, "segment count for -save-index builds and legacy-snapshot loads")
 		corpusF = flag.String("corpus", "", "extract from a persisted corpus file (loaded eagerly) instead of probing")
 		streamF = flag.String("stream", "", "like -corpus, but stream pages off the file with bounded derived memory; output is identical")
 		saveCor = flag.String("save-corpus", "", "probe the sites, persist the labeled corpus to this file, and exit")
 	)
 	flag.Parse()
+
+	if err := checkSaveIndexPath(*saveIdx); err != nil {
+		log.Fatal(err)
+	}
 
 	if *clust != "" {
 		if _, err := cluster.MustLookup(*clust); err != nil {
@@ -183,19 +187,7 @@ func main() {
 			res := core.NewExtractor(cfg).Extract(col.Pages)
 			return qaindex.DocsFromPagelets(s.ID(), s.Name(), res.Pagelets, nil)
 		})
-		if strings.HasSuffix(*saveIdx, ".gz") {
-			// Legacy single-file snapshot: re-ingest through the reference
-			// index, whose postings the snapshot format rebuilds on load.
-			ix := &qaindex.Index{}
-			for i := 0; i < sh.Shards(); i++ {
-				for _, d := range sh.Segment(i).Docs() {
-					ix.AddText(d.SiteID, d.SiteName, d.ProbeQuery, d.PageURL, d.Text)
-				}
-			}
-			if err := ix.WriteFile(*saveIdx); err != nil {
-				log.Fatal(err)
-			}
-		} else if err := sh.WriteDir(*saveIdx); err != nil {
+		if err := sh.WriteDir(*saveIdx); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("indexed %d QA-objects from %d sites into %s (%s)\n",
@@ -288,7 +280,42 @@ func serveFarm(addr string, nsites int, seed int64, fl *fleet.Fleet, ix qaindex.
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sigs)
 
-	return runServer(&http.Server{Handler: serveHandler(farm, fl, ix)}, ln, fl, sigs)
+	return runServer(newServer(serveHandler(farm, fl, ix)), ln, fl, sigs)
+}
+
+// Server timeouts. Request bodies are at most fleet.MaxExtractBody, so a
+// client that has not sent its headers in readHeaderTimeout, or its whole
+// request in readTimeout, is stalled rather than slow; idle keep-alive
+// connections close after idleTimeout.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 60 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// newServer builds the HTTP server thor -serve runs h on. WriteTimeout
+// stays unset on purpose: with -drift, a model rebuild runs inside the
+// /extract handler after the response is encoded and before the handler
+// returns, so a write deadline could cut off a response that is already
+// buffered.
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
+// checkSaveIndexPath rejects a -save-index path naming a single-file .gz
+// snapshot: that format is read-only (Open still loads it), and new
+// indexes are written as segment directories.
+func checkSaveIndexPath(path string) error {
+	if strings.HasSuffix(path, ".gz") {
+		return fmt.Errorf("-save-index %s: the single-file .gz index format is read-only; give a directory to write segment files into (e.g. -save-index %s)",
+			path, strings.TrimSuffix(path, ".gz"))
+	}
+	return nil
 }
 
 // runServer serves on ln until the listener fails or a value arrives on

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -302,7 +303,7 @@ func TestRunServerShutdownDrainsInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &http.Server{Handler: serveHandler(deepweb.NewFarm(1, 7), fl, nil)}
+	srv := newServer(serveHandler(deepweb.NewFarm(1, 7), fl, nil))
 	stop := make(chan os.Signal, 1)
 	done := make(chan error, 1)
 	go func() { done <- runServer(srv, ln, fl, stop) }()
@@ -354,5 +355,52 @@ func TestRunServerShutdownDrainsInFlight(t *testing.T) {
 	// The drain completed and only then was the registry closed.
 	if _, err := fl.Get(context.Background(), fleet.DefaultSite); !errors.Is(err, fleet.ErrClosed) {
 		t.Errorf("fleet after shutdown: %v, want ErrClosed", err)
+	}
+}
+
+// TestNewServerTimeouts: the server thor -serve runs has read-header,
+// read and idle timeouts, and no write timeout — a drift rebuild runs in
+// the /extract handler after the response is encoded, and a write
+// deadline could cut that buffered response off.
+func TestNewServerTimeouts(t *testing.T) {
+	srv := newServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != readHeaderTimeout || srv.ReadTimeout != readTimeout || srv.IdleTimeout != idleTimeout {
+		t.Errorf("timeouts = header %v, read %v, idle %v; want %v, %v, %v",
+			srv.ReadHeaderTimeout, srv.ReadTimeout, srv.IdleTimeout,
+			readHeaderTimeout, readTimeout, idleTimeout)
+	}
+	if srv.ReadHeaderTimeout <= 0 || srv.ReadTimeout <= 0 || srv.IdleTimeout <= 0 {
+		t.Errorf("a server timeout is unset: %+v", srv)
+	}
+	if srv.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout = %v, want 0", srv.WriteTimeout)
+	}
+}
+
+// TestSaveIndexRefusesGzSnapshot runs the command itself (this test
+// binary re-executed as thor) with -save-index x.gz: it must exit
+// non-zero before probing, naming the directory alternative.
+func TestSaveIndexRefusesGzSnapshot(t *testing.T) {
+	if os.Getenv("THOR_TEST_RUN_MAIN") == "1" {
+		os.Args = []string{"thor", "-save-index", filepath.Join(os.Getenv("THOR_TEST_DIR"), "x.gz")}
+		main()
+		os.Exit(0)
+	}
+	dir := t.TempDir()
+	cmd := exec.Command(os.Args[0], "-test.run=^TestSaveIndexRefusesGzSnapshot$")
+	cmd.Env = append(os.Environ(), "THOR_TEST_RUN_MAIN=1", "THOR_TEST_DIR="+dir)
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+		t.Fatalf("thor -save-index x.gz: err %v, want a non-zero exit; output:\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "read-only") || !strings.Contains(string(out), "directory") {
+		t.Errorf("refusal does not point at a directory: %s", out)
+	}
+	if strings.Contains(string(out), "probing plan") {
+		t.Errorf("refused only after probing: %s", out)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "x.gz")); !os.IsNotExist(err) {
+		t.Errorf("x.gz was written (stat: %v)", err)
 	}
 }

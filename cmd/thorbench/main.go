@@ -23,10 +23,10 @@
 // record BENCH_scale.json), "kernels" (string vs interned
 // similarity-kernel micro-benchmark; with -json it writes the
 // ns-per-pair record BENCH_kernels.json), "search" (QA-object retrieval
-// over a 1M-object synthetic Zipf corpus: the legacy exhaustive scan vs
-// the sharded block-max engine, cross-checked bit-identical; -synthcap
-// caps the corpus for smoke runs; with -json it writes the qps/latency
-// record BENCH_search.json), and the ablations "ksweep", "restarts",
+// over a 1M-object synthetic Zipf corpus on the sharded block-max
+// engine, with a digest of its ranked results; -synthcap caps the corpus
+// for smoke runs; with -json it writes the qps/latency record
+// BENCH_search.json), and the ablations "ksweep", "restarts",
 // "threshold", "ranking", "objects", "multiregion", "bisecting", and
 // "adaptive" (see DESIGN.md).
 package main
@@ -97,17 +97,17 @@ func main() {
 				// ns-per-pair on both kernel families plus the speedups.
 				err = writeKernelsBench(*jsonDir, o, r, time.Since(start))
 			case *experiments.ServeResult:
-				// The serve figure records per-page apply throughput on
-				// both apply paths, not just the whole-figure wall time
-				// (which is dominated by the one-time model builds).
+				// The serve figure records per-page apply throughput, not
+				// just the whole-figure wall time (which is dominated by
+				// the one-time model builds).
 				err = writeServeBench(*jsonDir, o, r, time.Since(start))
 			case *experiments.FleetResult:
 				// The fleet figure records registry-serving throughput,
 				// latency percentiles, and the overload shed counts.
 				err = writeFleetBench(*jsonDir, o, r, time.Since(start))
 			case *experiments.SearchResult:
-				// The search figure records per-engine qps and latency
-				// percentiles plus the legacy-vs-sharded cross-check verdict.
+				// The search figure records qps and latency percentiles
+				// plus the result digest.
 				err = writeSearchBench(*jsonDir, o, r, time.Since(start))
 			case *experiments.DriftResult:
 				// The drift figure records the lifecycle contract: phase
@@ -323,25 +323,21 @@ func writeKernelsBench(dir string, o experiments.Options, r *experiments.KernelR
 
 // ServeBenchRecord is the machine-readable artifact of the serve figure.
 // PagesPerSecond is the pooled ApplyHTML serving throughput — the number
-// a query-time engine lives on; LegacyPagesPerSecond is the same fresh
-// pages through the pre-pipeline Model.Apply, and BuildSeconds is the
-// one-time per-site analysis cost the apply rows amortize. Records before
-// the pooled pipeline reported whole-figure wall throughput (builds
-// included) in PagesPerSecond; WallSeconds still carries that figure wall
-// for continuity.
+// a query-time engine lives on — and BuildSeconds is the one-time
+// per-site analysis cost it amortizes. Records before the pooled
+// pipeline reported whole-figure wall throughput (builds included) in
+// PagesPerSecond; WallSeconds still carries that figure wall for
+// continuity.
 type ServeBenchRecord struct {
-	Figure               string  `json:"figure"`
-	WallSeconds          float64 `json:"wall_seconds"`
-	Pages                int     `json:"pages"`
-	PagesPerSecond       float64 `json:"pages_per_second"`
-	LegacyPagesPerSecond float64 `json:"legacy_pages_per_second"`
-	PooledSpeedup        float64 `json:"pooled_speedup"`
-	BuildSeconds         float64 `json:"build_seconds"`
-	Mismatches           int     `json:"mismatches"`
-	Precision            float64 `json:"precision"`
-	Recall               float64 `json:"recall"`
-	Workers              int     `json:"workers"`
-	Note                 string  `json:"note"`
+	Figure         string  `json:"figure"`
+	WallSeconds    float64 `json:"wall_seconds"`
+	Pages          int     `json:"pages"`
+	PagesPerSecond float64 `json:"pages_per_second"`
+	BuildSeconds   float64 `json:"build_seconds"`
+	Precision      float64 `json:"precision"`
+	Recall         float64 `json:"recall"`
+	Workers        int     `json:"workers"`
+	Note           string  `json:"note"`
 }
 
 // writeServeBench persists the serve figure as BENCH_serve.json.
@@ -350,17 +346,14 @@ func writeServeBench(dir string, o experiments.Options, r *experiments.ServeResu
 		return err
 	}
 	rec := ServeBenchRecord{
-		Figure:               "serve",
-		WallSeconds:          wall.Seconds(),
-		Pages:                r.Pages,
-		PagesPerSecond:       float64(r.Pages) / r.PooledApplySeconds,
-		LegacyPagesPerSecond: float64(r.Pages) / r.LegacyApplySeconds,
-		PooledSpeedup:        r.LegacyApplySeconds / r.PooledApplySeconds,
-		BuildSeconds:         r.BuildSeconds,
-		Mismatches:           r.Mismatches,
-		Precision:            r.Precision,
-		Recall:               r.Recall,
-		Workers:              parallel.Workers(o.Workers),
+		Figure:         "serve",
+		WallSeconds:    wall.Seconds(),
+		Pages:          r.Pages,
+		PagesPerSecond: float64(r.Pages) / r.ApplySeconds,
+		BuildSeconds:   r.BuildSeconds,
+		Precision:      r.Precision,
+		Recall:         r.Recall,
+		Workers:        parallel.Workers(o.Workers),
 		Note: "pages_per_second is per-page serving throughput (pooled ApplyHTML); " +
 			"pre-pipeline records reported whole-figure wall throughput, builds included",
 	}
@@ -475,10 +468,10 @@ func writeDriftBench(dir string, o experiments.Options, r *experiments.DriftResu
 }
 
 // SearchBenchRecord is the machine-readable artifact of the search
-// figure: the same query stream over the same synthetic QA-object corpus
-// on the legacy exhaustive index and the sharded block-max engine. The
-// contract fields — mismatches 0 and the result digest — must be
-// identical across worker counts; only throughput and latency may move.
+// figure: a query stream over a synthetic QA-object corpus on the
+// sharded block-max engine. The contract field — the result digest —
+// must be identical across worker counts; only throughput and latency
+// may move.
 type SearchBenchRecord struct {
 	Figure              string  `json:"figure"`
 	WallSeconds         float64 `json:"wall_seconds"`
@@ -487,16 +480,10 @@ type SearchBenchRecord struct {
 	Shards              int     `json:"shards"`
 	Queries             int     `json:"queries"`
 	Requests            int     `json:"requests"`
-	LegacyBuildSeconds  float64 `json:"legacy_build_seconds"`
 	ShardedBuildSeconds float64 `json:"sharded_build_seconds"`
-	LegacyQPS           float64 `json:"legacy_qps"`
 	ShardedQPS          float64 `json:"sharded_qps"`
-	LegacyP50Millis     float64 `json:"legacy_p50_ms"`
-	LegacyP99Millis     float64 `json:"legacy_p99_ms"`
 	ShardedP50Millis    float64 `json:"sharded_p50_ms"`
 	ShardedP99Millis    float64 `json:"sharded_p99_ms"`
-	Speedup             float64 `json:"speedup"`
-	Mismatches          int     `json:"mismatches"`
 	ResultDigest        string  `json:"result_digest"`
 }
 
@@ -513,16 +500,10 @@ func writeSearchBench(dir string, o experiments.Options, r *experiments.SearchRe
 		Shards:              r.Shards,
 		Queries:             r.Queries,
 		Requests:            r.Requests,
-		LegacyBuildSeconds:  r.LegacyBuildSeconds,
 		ShardedBuildSeconds: r.ShardedBuildSeconds,
-		LegacyQPS:           r.LegacyQPS,
 		ShardedQPS:          r.ShardedQPS,
-		LegacyP50Millis:     r.LegacyP50Millis,
-		LegacyP99Millis:     r.LegacyP99Millis,
 		ShardedP50Millis:    r.ShardedP50Millis,
 		ShardedP99Millis:    r.ShardedP99Millis,
-		Speedup:             r.Speedup,
-		Mismatches:          r.Mismatches,
 		ResultDigest:        r.Digest,
 	}
 	data, err := json.MarshalIndent(rec, "", "  ")

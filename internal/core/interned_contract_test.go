@@ -180,7 +180,7 @@ func stringPathPhase2(pages []*corpus.Page, cfg Config, seed int64) *Phase2Resul
 // Cosine kernel (the interned centroids projected back, which the
 // vector-layer tests pin as an exact projection).
 func stringPathApply(m *Model, page *corpus.Page) []*Pagelet {
-	v := m.Vectorize(page)
+	v := oracleVectorize(m, page)
 	best, bestSim := 0, -1.0
 	for c, ctr := range m.Centroids {
 		if sim := vector.Cosine(v, m.Dict.ToSparse(ctr)); sim > bestSim {
@@ -191,7 +191,7 @@ func stringPathApply(m *Model, page *corpus.Page) []*Pagelet {
 	if w == nil {
 		return nil
 	}
-	node, _ := w.Extract(page.Tree())
+	node, _ := oracleExtract(w, page.Tree())
 	if node == nil {
 		return nil
 	}

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"thor/internal/corpus"
+	"thor/internal/tagtree"
 	"thor/internal/vector"
 )
 
@@ -86,77 +87,29 @@ func (e *Extractor) BuildModel(pages []*corpus.Page) (*Model, error) {
 // no training pages).
 func (m *Model) Training() *Result { return m.training }
 
-// Apply extracts QA-Pagelets from one fresh page: the page is vectorized
-// in the model's assignment space, interned into the training
-// dictionary's ID space, assigned to the nearest centroid by cosine
-// similarity on the integer kernels (lowest cluster id on ties), and
-// only that cluster's wrapper runs — no clustering, no cross-page
-// analysis. A page assigned to a wrapperless cluster, or rejected by the
-// wrapper's distance bound, yields an empty extraction with no error:
-// that is the model's verdict that the page holds no QA-Pagelet.
-//
-// Interning drops terms outside the training vocabulary while keeping
-// them in the page vector's cached norm (Dict.Intern's contract), so the
-// similarities — and the chosen cluster — are bit-identical to running
-// the string kernels over Vectorize's output, unseen terms and all.
+// Apply extracts QA-Pagelets from one fresh page: it is ApplyHTML over
+// the page's HTML — the page is signed, interned into the training
+// dictionary's ID space, assigned to the nearest centroid (lowest
+// cluster id on ties), and only that cluster's wrapper runs — with the
+// verdict's path resolved back onto the page's own tag tree, so the
+// returned Pagelet's Node is a node of page.Tree() and compares by
+// identity against ground truth. A page assigned to a wrapperless
+// cluster, or rejected by the wrapper's distance bound, yields an empty
+// extraction with no error: that is the model's verdict that the page
+// holds no QA-Pagelet.
 func (m *Model) Apply(page *corpus.Page) ([]*Pagelet, error) {
-	return m.ApplyContext(context.Background(), page)
-}
-
-// ApplyContext is Apply with caller-controlled cancellation: the serve
-// handler threads each request's context here so an abandoned request
-// stops before the extraction work runs. Extraction itself is
-// deterministic CPU work with no further blocking points, so one check
-// up front suffices; a ctx error is returned verbatim for the caller to
-// map onto its transport (the HTTP handler answers 503).
-func (m *Model) ApplyContext(ctx context.Context, page *corpus.Page) ([]*Pagelet, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	if page == nil {
 		return nil, fmt.Errorf("core: Apply on nil page")
 	}
-	if len(m.Centroids) == 0 {
-		return nil, fmt.Errorf("core: model has no clusters to assign to")
+	path, found, _, err := m.applyHTML(context.Background(), page.HTML)
+	if err != nil || !found {
+		return nil, err
 	}
-	v := m.Dict.Intern(m.Vectorize(page))
-	// AssignNearest is the old verbatim Cosine loop with a CosineUnit
-	// fast path where the cached norms prove it exact; best index and
-	// similarity bits are pinned equal by the regression tests.
-	best, _ := vector.AssignNearest(v, m.Centroids)
-	w := m.Wrappers[best]
-	if w == nil {
-		return nil, nil
+	node, err := tagtree.Lookup(page.Tree(), path)
+	if err != nil {
+		return nil, fmt.Errorf("core: Apply: %w", err)
 	}
-	node, _ := w.Extract(page.Tree())
-	if node == nil {
-		return nil, nil
-	}
-	return []*Pagelet{{Page: page, Node: node, Path: node.Path()}}, nil
-}
-
-// Vectorize maps a page into the model's assignment space: the approach's
-// signature weighted with the *training* document frequencies, so a fresh
-// page lands where it would have landed had it been part of the training
-// run. Terms never seen in training carry no weight.
-func (m *Model) Vectorize(page *corpus.Page) vector.Sparse {
-	counts := m.signatureCounts(page)
-	if m.Cfg.Approach.RawWeighted() {
-		// Raw weighting never consults the DF table: every term of the
-		// page — in the training vocabulary or not — keeps its raw
-		// frequency, and FromCounts pre-sizes off the counts map. The
-		// branch runs before any weighting loop so no DF lookups are paid.
-		return vector.FromCounts(counts).Normalize()
-	}
-	weighted := make(map[string]float64, len(counts))
-	for term, tf := range counts {
-		df := m.DF[term]
-		if df == 0 {
-			continue
-		}
-		weighted[term] = vector.TFIDFWeight(tf, m.NDocs, df)
-	}
-	return vector.FromMap(weighted).Normalize()
+	return []*Pagelet{{Page: page, Node: node, Path: path}}, nil
 }
 
 // signatureCounts returns the page signature the model's approach clusters

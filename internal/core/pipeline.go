@@ -18,8 +18,8 @@ import (
 // the arena-backed parser (the page's entire tag tree lives in its arena
 // and is released wholesale when the scratch returns to the pool), the
 // signature scratch that replaces the per-request count map, the interning
-// scratch that replaces Vectorize's weight map and string-keyed Sparse,
-// and the candidate-scoring buffers of the wrapper pass. One scratch
+// scratch that weights the page directly in ID space, and the
+// candidate-scoring buffers of the wrapper pass. One scratch
 // serves one request at a time; concurrent requests each Get their own.
 type applyScratch struct {
 	parser *htmlx.Parser
@@ -61,21 +61,23 @@ func (m *Model) applyWeighting() vector.Weighting {
 }
 
 // ApplyHTML extracts the QA-Pagelet path from one fresh page given its raw
-// HTML — the pooled serve path. It is Apply with the page-cache layers cut
-// out: the HTML is parsed into a pooled arena (no garbage-collected tree),
-// the signature is counted into pooled scratch (no fresh map), the vector
-// is interned directly in ID space (no intermediate weight map or
-// string-keyed Sparse), the nearest centroid is chosen with the same
-// AssignNearest kernel, and the chosen wrapper scores candidates with
-// scratch-backed path simplification and edit distance. Only the winning
-// node's indexed path is materialized; every node and buffer behind it is
-// released wholesale when the scratch returns to the pool — safe because
-// the returned path is a fresh string and shares nothing with the arena.
+// HTML — the pooled serve path, and the one engine behind every apply
+// entry point (Apply included). The HTML is parsed into a pooled arena
+// (no garbage-collected tree), the signature is counted into pooled
+// scratch (no fresh map), the vector is interned directly in ID space (no
+// intermediate weight map or string-keyed Sparse), the nearest centroid
+// is chosen with the AssignNearest kernel, and the chosen wrapper scores
+// candidates with scratch-backed path simplification and edit distance.
+// Only the winning node's indexed path is materialized; every node and
+// buffer behind it is released wholesale when the scratch returns to the
+// pool — safe because the returned path is a fresh string and shares
+// nothing with the arena.
 //
-// The verdict is bit-identical to Apply on a page holding the same HTML:
-// same assigned cluster, same candidate distances, and a byte-identical
-// path (or the same "no pagelet" answer, found=false). The contract tests
-// pin this across every approach and worker count.
+// The contract tests pin the verdict bit-identical to the page-based
+// oracle engine in oracle_test.go — same assigned cluster, same
+// candidate distances, and a byte-identical path (or the same "no
+// pagelet" answer, found=false) — across every approach and worker
+// count.
 func (m *Model) ApplyHTML(ctx context.Context, html string) (path string, found bool, err error) {
 	path, found, _, err = m.applyHTML(ctx, html)
 	return path, found, err
@@ -150,8 +152,11 @@ func (m *Model) applyHTML(ctx context.Context, html string) (path string, found 
 	if w == nil {
 		return "", false, stats, nil
 	}
-	path, found, err = w.extractPath(tree, s)
-	return path, found, stats, err
+	node, _ := w.extractPath(tree, s)
+	if node == nil {
+		return "", false, stats, nil
+	}
+	return s.pathString(node), true, stats, nil
 }
 
 // simplifiedPath rebuilds n's simplified indexed path (what

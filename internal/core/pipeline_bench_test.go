@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"testing"
-
-	"thor/internal/corpus"
 )
 
 // benchModel builds one model and the fresh HTML bodies to serve, shared
@@ -27,22 +25,7 @@ func benchModel(b *testing.B) (*Model, []string) {
 	return m, htmls
 }
 
-// BenchmarkApplyLegacy measures serving one request through the
-// pre-pipeline path: wrap the bytes in a corpus.Page (heap parse, cached
-// tree and signature maps, string-space vectorize) and Apply.
-func BenchmarkApplyLegacy(b *testing.B) {
-	m, htmls := benchModel(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := &corpus.Page{HTML: htmls[i%len(htmls)]}
-		if _, err := m.Apply(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkApplyHTML measures the same requests through the pooled
+// BenchmarkApplyHTML measures serving fresh pages through the pooled
 // pipeline — arena parse, scratch signature, ID-space interning,
 // CosineUnit assignment, scratch extraction. allocs/op is the headline:
 // ~0 in steady state.

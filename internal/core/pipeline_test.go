@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"thor/internal/corpus"
 	"thor/internal/vector"
 )
 
@@ -16,9 +17,9 @@ type applyVerdict struct {
 	Found bool
 }
 
-// buildModelForApproach builds a model over one probed site with the
-// given approach.
-func buildModelForApproach(t *testing.T, a Approach) (*Model, []applyVerdict, []string) {
+// modelForApproach builds a model over one probed site with the given
+// approach, and returns it with fresh pages of the same site.
+func modelForApproach(t *testing.T, a Approach) (*Model, []*corpus.Page) {
 	t.Helper()
 	col := probeSite(t, 4, 11)
 	fresh := probeSite(t, 4, 120)
@@ -30,12 +31,20 @@ func buildModelForApproach(t *testing.T, a Approach) (*Model, []applyVerdict, []
 	if err != nil {
 		t.Fatalf("%v: BuildModel: %v", a, err)
 	}
-	verdicts := make([]applyVerdict, len(fresh.Pages))
-	htmls := make([]string, len(fresh.Pages))
-	for i, p := range fresh.Pages {
-		pls, err := m.Apply(p)
+	return m, fresh.Pages
+}
+
+// buildModelForApproach builds a model with the given approach and
+// returns the oracle's verdict on each fresh page with the page's HTML.
+func buildModelForApproach(t *testing.T, a Approach) (*Model, []applyVerdict, []string) {
+	t.Helper()
+	m, fresh := modelForApproach(t, a)
+	verdicts := make([]applyVerdict, len(fresh))
+	htmls := make([]string, len(fresh))
+	for i, p := range fresh {
+		pls, err := oracleApply(m, p)
 		if err != nil {
-			t.Fatalf("%v: Apply: %v", a, err)
+			t.Fatalf("%v: oracleApply: %v", a, err)
 		}
 		if len(pls) > 0 {
 			verdicts[i] = applyVerdict{Path: pls[0].Path, Found: true}
@@ -45,24 +54,44 @@ func buildModelForApproach(t *testing.T, a Approach) (*Model, []applyVerdict, []
 	return m, verdicts, htmls
 }
 
-// TestApplyHTMLMatchesApplyAllApproaches pins the pooled pipeline's
-// verdict — assigned wrapper and extracted pagelet path — bit-identical
-// to the legacy Apply on every approach that can build a model: the
-// TFIDF/raw × tags/content grid plus a non-vector baseline, over fresh
-// pages the model never saw (match and no-match pages alike).
+// TestApplyHTMLMatchesApplyAllApproaches pins both apply entry points to
+// the page-based oracle engine on every approach that can build a model
+// — the TFIDF/raw × tags/content grid plus a non-vector baseline — over
+// fresh pages the model never saw (match and no-match pages alike):
+// ApplyHTML's verdict (assigned wrapper and extracted pagelet path) bit
+// for bit, and the thin Apply Pagelet for Pagelet, down to the very same
+// *tagtree.Node of page.Tree(), so ground-truth scoring by node identity
+// is unchanged.
 func TestApplyHTMLMatchesApplyAllApproaches(t *testing.T) {
 	ctx := context.Background()
 	for _, a := range []Approach{TFIDFTags, RawTags, TFIDFContent, RawContent, SizeBased} {
-		m, want, htmls := buildModelForApproach(t, a)
+		m, fresh := modelForApproach(t, a)
 		anyFound := false
-		for i, html := range htmls {
-			path, found, err := m.ApplyHTML(ctx, html)
+		for i, page := range fresh {
+			want, err := oracleApply(m, page)
+			if err != nil {
+				t.Fatalf("%v: oracleApply: %v", a, err)
+			}
+			var wantV applyVerdict
+			if len(want) > 0 {
+				wantV = applyVerdict{Path: want[0].Path, Found: true}
+			}
+			path, found, err := m.ApplyHTML(ctx, page.HTML)
 			if err != nil {
 				t.Fatalf("%v: ApplyHTML: %v", a, err)
 			}
-			got := applyVerdict{Path: path, Found: found}
-			if got != want[i] {
-				t.Fatalf("%v page %d: ApplyHTML = %+v, Apply = %+v", a, i, got, want[i])
+			if got := (applyVerdict{Path: path, Found: found}); got != wantV {
+				t.Fatalf("%v page %d: ApplyHTML = %+v, oracle = %+v", a, i, got, wantV)
+			}
+			got, err := m.Apply(page)
+			if err != nil {
+				t.Fatalf("%v: Apply: %v", a, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v page %d: Apply = %+v, oracle = %+v", a, i, got, want)
+			}
+			if len(got) > 0 && (got[0].Node != want[0].Node || got[0].Page != page) {
+				t.Fatalf("%v page %d: Apply returned a node outside the page's own tree", a, i)
 			}
 			anyFound = anyFound || found
 		}
@@ -87,7 +116,7 @@ func TestApplyHTMLBytesMatchesApplyHTML(t *testing.T) {
 				t.Fatalf("%v: ApplyHTMLBytes: %v", a, err)
 			}
 			if got := (applyVerdict{Path: path, Found: found}); got != want[i] {
-				t.Fatalf("%v page %d: ApplyHTMLBytes = %+v, Apply = %+v", a, i, got, want[i])
+				t.Fatalf("%v page %d: ApplyHTMLBytes = %+v, oracle = %+v", a, i, got, want[i])
 			}
 			for j := range buf {
 				buf[j] = 'x'
@@ -151,7 +180,7 @@ func TestApplyHTMLPooledScratchWorkerCountIndependence(t *testing.T) {
 // TestAssignNearestMatchesCosineLoop is the CosineUnit satellite's
 // regression test on real model geometry: for every fresh page vector,
 // AssignNearest (Cosine with the provably-exact CosineUnit fast path)
-// must equal the verbatim Cosine loop ApplyContext used to inline — same
+// must equal the verbatim Cosine loop the page-based Apply inlined — same
 // winning index, same similarity bits.
 func TestAssignNearestMatchesCosineLoop(t *testing.T) {
 	col := probeSite(t, 3, 7)
@@ -164,7 +193,7 @@ func TestAssignNearestMatchesCosineLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, page := range fresh.Pages {
-		v := m.Dict.Intern(m.Vectorize(page))
+		v := m.Dict.Intern(oracleVectorize(m, page))
 		wantBest, wantSim := 0, -1.0
 		for c, ctr := range m.Centroids {
 			if sim := v.Cosine(ctr); sim > wantSim {
@@ -182,7 +211,7 @@ func TestAssignNearestMatchesCosineLoop(t *testing.T) {
 // TestInternCountsMatchesVectorizeIntern pins the fused serve-path
 // vectorization against the composition it replaces, on real pages with
 // unseen vocabulary: Dict.InternCounts(signature counts) must equal
-// Dict.Intern(Vectorize(page)) bit for bit — IDs, weights, and cached
+// Dict.Intern(oracleVectorize(page)) bit for bit — IDs, weights, and cached
 // norm — for both weighting branches.
 func TestInternCountsMatchesVectorizeIntern(t *testing.T) {
 	for _, a := range []Approach{TFIDFTags, RawTags, TFIDFContent, RawContent} {
@@ -198,11 +227,11 @@ func TestInternCountsMatchesVectorizeIntern(t *testing.T) {
 		}
 		var scratch vector.InternScratch
 		for _, page := range fresh.Pages {
-			want := m.Dict.Intern(m.Vectorize(page))
+			want := m.Dict.Intern(oracleVectorize(m, page))
 			got := m.Dict.InternCounts(m.signatureCounts(page), m.applyWeighting(), &scratch)
 			if got.Norm() != want.Norm() || !reflect.DeepEqual(got.IDs, want.IDs) ||
 				!reflect.DeepEqual(got.Weights, want.Weights) {
-				t.Fatalf("%v page %s: InternCounts differs from Intern(Vectorize)", a, page.URL)
+				t.Fatalf("%v page %s: InternCounts differs from Intern(oracleVectorize)", a, page.URL)
 			}
 		}
 	}

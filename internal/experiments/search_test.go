@@ -5,10 +5,16 @@ import (
 	"testing"
 )
 
+// smallSearchDigest is the result digest of the search figure over the
+// SynthCap-3000 corpus at DefaultOptions, recorded while the figure still
+// cross-checked every query against the exhaustive scan (0 mismatches, at
+// 1 and 2 workers). With the scan gone from the figure, this pin is what
+// catches a change in the sharded engine's rankings or scores.
+const smallSearchDigest = "7bfe897ed161d9e72e7c1117f435b7653f80c066ddf816320b397501f7560f6e"
+
 // TestSearchBenchmarkSmall runs the search figure on a capped corpus and
 // checks the contract parts of the result: the corpus honors SynthCap,
-// every cross-checked query is bit-identical, and the rendered table
-// carries both engines.
+// the result digest is the pinned one, and the table carries the engine.
 func TestSearchBenchmarkSmall(t *testing.T) {
 	o := DefaultOptions()
 	o.SynthCap = 3000
@@ -19,24 +25,18 @@ func TestSearchBenchmarkSmall(t *testing.T) {
 	if r.Docs != 3000 {
 		t.Errorf("Docs = %d, want SynthCap 3000", r.Docs)
 	}
-	if r.Mismatches != 0 {
-		t.Fatalf("%d/%d queries diverged from the exhaustive scan", r.Mismatches, r.Queries)
+	if r.Digest != smallSearchDigest {
+		t.Fatalf("result digest %s, want %s", r.Digest, smallSearchDigest)
 	}
 	if r.Requests != r.Queries*o.Reps {
 		t.Errorf("Requests = %d, want %d", r.Requests, r.Queries*o.Reps)
 	}
-	if r.Digest == "" || len(r.Digest) != 64 {
-		t.Errorf("digest %q is not a sha256 hex string", r.Digest)
-	}
-	if r.LegacyQPS <= 0 || r.ShardedQPS <= 0 || r.ShardedP99Millis <= 0 {
+	if r.ShardedQPS <= 0 || r.ShardedP99Millis <= 0 || r.ShardedBuildSeconds <= 0 {
 		t.Errorf("degenerate timings: %+v", r)
 	}
 	s := r.String()
-	if !strings.Contains(s, "legacy scan") || !strings.Contains(s, "sharded") {
-		t.Errorf("table missing engine rows:\n%s", s)
-	}
-	if !strings.Contains(s, "200/200 queries bit-identical") {
-		t.Errorf("table missing cross-check note:\n%s", s)
+	if !strings.Contains(s, "sharded") || !strings.Contains(s, "result digest "+smallSearchDigest[:12]) {
+		t.Errorf("table missing engine row or digest note:\n%s", s)
 	}
 }
 
@@ -52,9 +52,6 @@ func TestSearchBenchmarkWorkerCountIndependence(t *testing.T) {
 	for _, w := range []int{1, 3} {
 		o.Workers = w
 		r := SearchBenchmark(o)
-		if r.Mismatches != 0 {
-			t.Fatalf("workers=%d: %d mismatches", w, r.Mismatches)
-		}
 		if digest == "" {
 			digest = r.Digest
 		} else if r.Digest != digest {

@@ -35,25 +35,19 @@ func buildServeModel(o Options, siteID int, pages []*corpus.Page) *core.Model {
 }
 
 // ServeResult is the machine-readable outcome of ServeBenchmark: the
-// one-time model-build cost against both per-page apply paths — the
-// legacy Apply over cached corpus pages and the pooled ApplyHTML that
-// serves raw request bytes — plus the serving quality the latency buys.
-// The embedded table is the human-readable rendering.
+// one-time model-build cost against the per-page cost of the pooled
+// ApplyHTML that serves raw request bytes, plus the serving quality the
+// latency buys. The embedded table is the human-readable rendering.
 type ServeResult struct {
 	*TableResult
 
-	// Pages is the number of fresh pages served per path.
+	// Pages is the number of fresh pages served.
 	Pages int
 	// BuildSeconds is the serial model-build total across sites.
 	BuildSeconds float64
-	// LegacyApplySeconds and PooledApplySeconds are the serial per-page
-	// apply totals of the two paths over the same fresh pages.
-	LegacyApplySeconds float64
-	PooledApplySeconds float64
-	// Mismatches counts pages where the pooled path's verdict differed
-	// from Apply's — always 0; the paths are contract-tested
-	// bit-identical, and the benchmark cross-checks anyway.
-	Mismatches int
+	// ApplySeconds is the serial per-page ApplyHTML total over the fresh
+	// pages.
+	ApplySeconds float64
 	// Precision and Recall score the served extractions against ground
 	// truth.
 	Precision, Recall float64
@@ -62,13 +56,12 @@ type ServeResult struct {
 // ServeBenchmark measures the staged engine's train-once/serve-many
 // split: for each site, the one-time cost of BuildModel over the probed
 // sample versus the per-page cost of serving a second, fresh probe round
-// the model never saw — once through the legacy Model.Apply (parse into a
-// cached tree, map-built signature, string-space vectorize) and once
-// through the pooled Model.ApplyHTML pipeline (arena parse, scratch
-// signature, direct ID-space interning). Timing is serial (one site, one
-// page at a time), like the paper's timing figures; the fresh pages are
-// also scored against ground truth so the table shows what serving
-// quality the latency buys.
+// the model never saw through the pooled Model.ApplyHTML pipeline (arena
+// parse, scratch signature, direct ID-space interning). Timing is serial
+// (one site, one page at a time), like the paper's timing figures. The
+// fresh pages are also scored against ground truth through Model.Apply,
+// outside the timed loop, so the table shows what serving quality the
+// latency buys.
 func ServeBenchmark(o Options) *ServeResult {
 	sites := deepweb.NewSites(o.Sites, o.Seed)
 	trainProber := &probe.Prober{Plan: probe.NewPlan(o.DictWords, o.Nonsense, o.Seed+1000), Labeler: deepweb.Labeler()}
@@ -88,11 +81,21 @@ func ServeBenchmark(o Options) *ServeResult {
 
 		fresh := serveProber.ProbeSite(s)
 
-		// Legacy path: Apply over the corpus pages (each page caches its
-		// parsed tree and signature on first touch, inside the timed
-		// region, exactly as before).
-		var pagelets []*core.Pagelet
+		// ApplyHTML over the raw bytes a server would see. The timed loop
+		// discards the verdicts; trees, signatures, and vectors live in
+		// pooled scratch.
 		start = time.Now()
+		for _, p := range fresh.Pages {
+			if _, _, err := m.ApplyHTML(ctx, p.HTML); err != nil {
+				//thorlint:allow no-panic-in-lib programmer-error guard; ApplyHTML errors only on ctx cancellation or empty models
+				panic("experiments: " + err.Error())
+			}
+		}
+		out.ApplySeconds += time.Since(start).Seconds()
+		out.Pages += len(fresh.Pages)
+
+		// Score the same verdicts as pagelets on the pages' own trees.
+		var pagelets []*core.Pagelet
 		for _, p := range fresh.Pages {
 			pls, err := m.Apply(p)
 			if err != nil {
@@ -101,38 +104,6 @@ func ServeBenchmark(o Options) *ServeResult {
 			}
 			pagelets = append(pagelets, pls...)
 		}
-		out.LegacyApplySeconds += time.Since(start).Seconds()
-
-		// Pooled path: ApplyHTML over the raw bytes a server would see.
-		// The timed loop keeps only the returned path strings; trees,
-		// signatures, and vectors live in pooled scratch.
-		paths := make([]string, 0, len(fresh.Pages))
-		start = time.Now()
-		for _, p := range fresh.Pages {
-			path, found, err := m.ApplyHTML(ctx, p.HTML)
-			if err != nil {
-				//thorlint:allow no-panic-in-lib programmer-error guard; ApplyHTML errors only on ctx cancellation or empty models
-				panic("experiments: " + err.Error())
-			}
-			if found {
-				paths = append(paths, path)
-			}
-		}
-		out.PooledApplySeconds += time.Since(start).Seconds()
-		out.Pages += len(fresh.Pages)
-
-		// Cross-check the two paths' verdicts page for page (outside the
-		// timed regions).
-		if len(paths) != len(pagelets) {
-			out.Mismatches += diffAbs(len(paths), len(pagelets))
-		} else {
-			for i, pl := range pagelets {
-				if paths[i] != pl.Path {
-					out.Mismatches++
-				}
-			}
-		}
-
 		c, i, t := core.Score(pagelets, fresh.Pages)
 		counter.Add(c, i, t)
 	}
@@ -155,32 +126,15 @@ func ServeBenchmark(o Options) *ServeResult {
 	res.Rows = append(res.Rows, Row{
 		Label: "apply/page",
 		Values: []float64{
-			out.LegacyApplySeconds,
-			1000 * out.LegacyApplySeconds / float64(out.Pages),
-			float64(out.Pages) / out.LegacyApplySeconds,
-		},
-	})
-	res.Rows = append(res.Rows, Row{
-		Label: "pooled/page",
-		Values: []float64{
-			out.PooledApplySeconds,
-			1000 * out.PooledApplySeconds / float64(out.Pages),
-			float64(out.Pages) / out.PooledApplySeconds,
+			out.ApplySeconds,
+			1000 * out.ApplySeconds / float64(out.Pages),
+			float64(out.Pages) / out.ApplySeconds,
 		},
 	})
 	res.Notes = append(res.Notes,
-		"unit = site for the build row, page for the apply rows; seconds are serial totals",
-		fmt.Sprintf("pooled ApplyHTML is %.1fx the legacy Apply row (%d verdict mismatches; contract says 0)",
-			out.LegacyApplySeconds/out.PooledApplySeconds, out.Mismatches),
+		"unit = site for the build row, page for the apply row (pooled ApplyHTML); seconds are serial totals",
 		fmt.Sprintf("served %d fresh pages: precision %.3f, recall %.3f", out.Pages, pr.Precision, pr.Recall),
 	)
 	out.TableResult = res
 	return out
-}
-
-func diffAbs(a, b int) int {
-	if a > b {
-		return a - b
-	}
-	return b - a
 }

@@ -10,10 +10,9 @@ import (
 )
 
 // The fleet's retrieval surface: GET /search and GET /sites over a
-// qaindex.Searcher (the sharded segment index in production, the legacy
-// single index for small deployments). Both routes pass through the same
-// admission gate as /extract, so search traffic and extraction traffic
-// share one overload budget and one 429 behavior.
+// qaindex.Searcher (the sharded segment index). Both routes pass through
+// the same admission gate as /extract, so search traffic and extraction
+// traffic share one overload budget and one 429 behavior.
 
 // DefaultSearchK is the result count served when the k parameter is
 // absent; MaxSearchK is the cap a client can request.

@@ -2,25 +2,6 @@ package qaindex
 
 import "testing"
 
-// TestLegacySearchAllocs gates the pooled legacy scan: a warm repeated
-// query costs only the returned hit slice (scores map, hit buffer, and
-// stem cache all recycle through the pool).
-func TestLegacySearchAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are inflated under -race")
-	}
-	docs := synthCorpus(200, 11)
-	ix := legacyFromDocs(docs)
-	const q = "alpha beta camera"
-	for i := 0; i < 3; i++ { // warm the pool and the stem cache
-		ix.Search(q, 10)
-		ix.SitesSupporting(q)
-	}
-	if avg := testing.AllocsPerRun(50, func() { ix.Search(q, 10) }); avg > 1 {
-		t.Errorf("legacy warm Search allocates %.1f/op, want ≤ 1 (the result slice)", avg)
-	}
-}
-
 // TestShardedSearchAllocs gates the serving hot path: a warm SearchInto
 // with a recycled destination buffer performs zero allocations.
 func TestShardedSearchAllocs(t *testing.T) {

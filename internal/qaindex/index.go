@@ -6,27 +6,18 @@
 // supporting BLAST queries"). THOR feeds it: every QA-Object extracted in
 // stage three becomes one indexed document.
 //
-// Two index shapes share one scoring contract:
-//
-//   - Index (this file) is the original single in-memory index: exhaustive
-//     BM25 over every posting of every query term. It remains the
-//     reference implementation — and the one-shard view the sharded
-//     engine is contract-tested against.
-//   - Sharded (sharded.go / segment.go / topk.go) partitions documents
-//     across immutable segments and serves top-k queries with
-//     max-score/block-max early termination, bit-identical to the
-//     exhaustive scan.
+// Sharded (sharded.go / segment.go / topk.go) is the one search engine:
+// it partitions documents across immutable segments and serves top-k
+// queries with max-score/block-max early termination under BM25. Its
+// contract tests compare it, bit for bit, against the exhaustive
+// single-index scan it replaced, which survives only as a test oracle.
 package qaindex
 
 import (
-	"fmt"
-	"math"
 	"slices"
 	"strings"
-	"sync"
 
 	"thor/internal/stem"
-	"thor/internal/tagtree"
 )
 
 // Document is one indexed QA-Object.
@@ -51,10 +42,10 @@ type Hit struct {
 	Score float64
 }
 
-// Searcher is the query surface both index shapes serve: free-text top-k
-// search, its per-site restriction, and the search-by-sites discovery
-// feature. *Index and *Sharded both implement it; the HTTP serving layer
-// accepts either.
+// Searcher is the query surface the HTTP serving layer accepts: free-text
+// top-k search, its per-site restriction, and the search-by-sites
+// discovery feature. *Sharded implements it; a wrapper (say, one that
+// traces each search) can stand in for it.
 type Searcher interface {
 	Search(query string, k int) []Hit
 	SearchSite(query string, k, siteID int) []Hit
@@ -62,133 +53,11 @@ type Searcher interface {
 	Len() int
 }
 
-// Index is an inverted index over QA-Object documents with BM25 ranking.
-// The zero value is ready to use; it is not safe for concurrent mutation,
-// but concurrent searches over a quiescent index are safe — per-query
-// state lives in a pooled scratch.
-//
-// The postings vocabulary is interned: each term gets a dense int32 ID at
-// first sight (in deterministic first-token order) and posting lists live
-// in an ID-indexed table, so the per-term storage and the query lookup
-// carry one map probe per term instead of string-keyed list storage. The
-// on-disk format is unaffected — persistence snapshots documents and
-// rebuilds the postings on load.
-type Index struct {
-	docs     []*Document
-	termIDs  map[string]int32 // term → dense ID, assigned in first-occurrence order
-	plists   [][]posting      // posting lists indexed by term ID
-	totalLen int
-}
-
-type posting struct {
-	doc int
-	tf  int
-}
-
 // BM25 constants (standard Robertson/Spärck Jones defaults).
 const (
 	bm25K1 = 1.2
 	bm25B  = 0.75
 )
-
-// Add indexes one QA-Object subtree as a document and returns it.
-func (ix *Index) Add(siteID int, siteName, probeQuery, pageURL string, obj *tagtree.Node) *Document {
-	text := strings.TrimSpace(obj.Text())
-	return ix.AddText(siteID, siteName, probeQuery, pageURL, text)
-}
-
-// AddText indexes a document from raw text (exposed for non-tree sources).
-func (ix *Index) AddText(siteID int, siteName, probeQuery, pageURL, text string) *Document {
-	doc := &Document{
-		SiteID: siteID, SiteName: siteName,
-		ProbeQuery: probeQuery, PageURL: pageURL, Text: text,
-	}
-	// Track each distinct term's first occurrence so term IDs are assigned
-	// in token order, not map-iteration order: two identically-fed indexes
-	// get identical internals. The counts map is transient — retaining one
-	// per document would dominate the index's memory at millions of
-	// objects.
-	counts := make(map[string]int)
-	var order []string
-	for _, tok := range tagtree.Tokenize(text) {
-		term := stem.Stem(tok)
-		if counts[term] == 0 {
-			order = append(order, term)
-		}
-		counts[term]++
-		doc.length++
-	}
-	id := len(ix.docs)
-	ix.docs = append(ix.docs, doc)
-	if ix.termIDs == nil {
-		ix.termIDs = make(map[string]int32)
-	}
-	for _, term := range order {
-		tid, ok := ix.termIDs[term]
-		if !ok {
-			tid = int32(len(ix.plists))
-			ix.termIDs[term] = tid
-			ix.plists = append(ix.plists, nil)
-		}
-		ix.plists[tid] = append(ix.plists[tid], posting{doc: id, tf: counts[term]})
-	}
-	ix.totalLen += doc.length
-	return doc
-}
-
-// Len returns the number of indexed documents.
-func (ix *Index) Len() int { return len(ix.docs) }
-
-// Terms returns the vocabulary size.
-func (ix *Index) Terms() int { return len(ix.termIDs) }
-
-// Docs returns the indexed documents as ingest specs in document order —
-// the stream a Sharded index is built from, so converting an Index is
-// exact: BuildSharded(ix.Docs(), ...) scores bit-identically to ix.
-func (ix *Index) Docs() []Doc {
-	out := make([]Doc, len(ix.docs))
-	for i, d := range ix.docs {
-		out[i] = Doc{
-			SiteID: d.SiteID, SiteName: d.SiteName,
-			ProbeQuery: d.ProbeQuery, PageURL: d.PageURL, Text: d.Text,
-		}
-	}
-	return out
-}
-
-// Sharded rebuilds this index as a sharded segment index over the same
-// documents — the migration path from the legacy single-index snapshot
-// format to the segmented one.
-func (ix *Index) Sharded(shards, workers int) *Sharded {
-	return BuildSharded(ix.Docs(), shards, workers)
-}
-
-// Search returns the top-k documents for a free-text query under BM25.
-// Query terms are stemmed like document terms.
-func (ix *Index) Search(query string, k int) []Hit {
-	return ix.search(query, k, -1)
-}
-
-// SearchSite restricts Search to one source — the per-site view of the
-// paper's retrieval engine.
-func (ix *Index) SearchSite(query string, k, siteID int) []Hit {
-	return ix.search(query, k, siteID)
-}
-
-// legacyScratch is the pooled per-query state of the exhaustive scan: the
-// document-score accumulator, the pre-sort hit buffer, and a stem cache so
-// a warm (repeated) query never re-runs the Porter stemmer. It recycles
-// through legacyPool; the hits returned to callers are always copied out,
-// never aliased to the scratch.
-type legacyScratch struct {
-	scores map[int]float64
-	hits   []Hit
-	stems  stemCache
-}
-
-var legacyPool = sync.Pool{New: func() any {
-	return &legacyScratch{scores: make(map[int]float64, 256)}
-}}
 
 // stemCache memoizes Stem per query token. It is bounded: past
 // maxStemCache distinct tokens it resets rather than growing without
@@ -221,94 +90,6 @@ func hitWorse(a, b Hit) bool {
 		return a.Score < b.Score
 	}
 	return a.Doc.PageURL > b.Doc.PageURL
-}
-
-// compareHits orders hits best-first for sorting.
-func compareHits(a, b Hit) int {
-	if hitWorse(a, b) {
-		return 1
-	}
-	if hitWorse(b, a) {
-		return -1
-	}
-	return 0
-}
-
-// accumulate runs the exhaustive BM25 term-at-a-time scan for query into
-// sc.scores: every posting of every query term, restricted to siteFilter
-// when non-negative. Per document, term contributions accumulate in query
-// token order — the float addition order the early-terminating kernel
-// reproduces exactly.
-func (ix *Index) accumulate(sc *legacyScratch, query string, siteFilter int) {
-	n := len(ix.docs)
-	avgLen := float64(ix.totalLen) / float64(n)
-	if avgLen == 0 { //thorlint:allow no-float-eq exact-zero guard against dividing by zero
-		avgLen = 1
-	}
-	tagtree.EachToken(query, func(tok string) {
-		term := sc.stems.stem(tok)
-		tid, ok := ix.termIDs[term]
-		if !ok {
-			return
-		}
-		plist := ix.plists[tid]
-		if len(plist) == 0 {
-			return
-		}
-		idf := math.Log(1 + (float64(n)-float64(len(plist))+0.5)/(float64(len(plist))+0.5))
-		for _, p := range plist {
-			doc := ix.docs[p.doc]
-			if siteFilter >= 0 && doc.SiteID != siteFilter {
-				continue
-			}
-			tf := float64(p.tf)
-			norm := tf * (bm25K1 + 1) / (tf + bm25K1*(1-bm25B+bm25B*float64(doc.length)/avgLen))
-			sc.scores[p.doc] += idf * norm
-		}
-	})
-}
-
-func (ix *Index) search(query string, k, siteFilter int) []Hit {
-	if len(ix.docs) == 0 || k <= 0 {
-		return nil
-	}
-	sc := legacyPool.Get().(*legacyScratch)
-	defer legacyPool.Put(sc)
-	clear(sc.scores)
-	sc.hits = sc.hits[:0]
-	ix.accumulate(sc, query, siteFilter)
-	for id, s := range sc.scores {
-		sc.hits = append(sc.hits, Hit{Doc: ix.docs[id], Score: s})
-	}
-	slices.SortFunc(sc.hits, compareHits)
-	if len(sc.hits) > k {
-		sc.hits = sc.hits[:k]
-	}
-	out := make([]Hit, len(sc.hits))
-	copy(out, sc.hits)
-	return out
-}
-
-// SitesSupporting returns, for a topic query, the distinct sources whose
-// indexed objects match it, ordered by their best-scoring object — the
-// "searching by sites" feature of the envisioned engine.
-//
-// It aggregates per-site best score and match counts in one pass over the
-// score accumulator, without materializing and sorting every matching
-// document the way ranking the whole corpus would.
-func (ix *Index) SitesSupporting(query string) []SiteHit {
-	if len(ix.docs) == 0 {
-		return []SiteHit{}
-	}
-	sc := legacyPool.Get().(*legacyScratch)
-	defer legacyPool.Put(sc)
-	clear(sc.scores)
-	ix.accumulate(sc, query, -1)
-	best := make(map[int]*siteAgg)
-	for id, s := range sc.scores {
-		foldSiteHit(best, ix.docs[id], s)
-	}
-	return collectSiteHits(best)
 }
 
 // siteAgg is the per-site aggregate behind SitesSupporting: the site's
@@ -370,9 +151,4 @@ type SiteHit struct {
 	SiteName string
 	Score    float64 // best object score
 	Matches  int     // matching objects at the source
-}
-
-// String summarizes the index.
-func (ix *Index) String() string {
-	return fmt.Sprintf("qaindex{%d objects, %d terms}", ix.Len(), ix.Terms())
 }

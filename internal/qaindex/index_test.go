@@ -6,21 +6,27 @@ import (
 	"testing"
 
 	"thor/internal/core"
+	"thor/internal/corpus"
 	"thor/internal/deepweb"
 	"thor/internal/htmlx"
 	"thor/internal/objects"
 	"thor/internal/probe"
 )
 
-func seedIndex() *Index {
-	ix := &Index{}
-	ix.AddText(1, "books", "camera", "http://a/1", "digital camera bag leather black")
-	ix.AddText(1, "books", "camera", "http://a/2", "digital camera sony silver compact")
-	ix.AddText(2, "music", "guitar", "http://b/1", "electric guitar fender sunburst")
-	ix.AddText(2, "music", "piano", "http://b/2", "grand piano steinway black")
-	ix.AddText(3, "jobs", "engineer", "http://c/1", "software engineer position golang")
-	return ix
+// seedDocs is a five-document corpus over three sites.
+func seedDocs() []Doc {
+	return []Doc{
+		{SiteID: 1, SiteName: "books", ProbeQuery: "camera", PageURL: "http://a/1", Text: "digital camera bag leather black"},
+		{SiteID: 1, SiteName: "books", ProbeQuery: "camera", PageURL: "http://a/2", Text: "digital camera sony silver compact"},
+		{SiteID: 2, SiteName: "music", ProbeQuery: "guitar", PageURL: "http://b/1", Text: "electric guitar fender sunburst"},
+		{SiteID: 2, SiteName: "music", ProbeQuery: "piano", PageURL: "http://b/2", Text: "grand piano steinway black"},
+		{SiteID: 3, SiteName: "jobs", ProbeQuery: "engineer", PageURL: "http://c/1", Text: "software engineer position golang"},
+	}
 }
+
+// seedIndex indexes seedDocs over two shards, so the behaviour tests
+// also cross segment boundaries.
+func seedIndex() *Sharded { return BuildSharded(seedDocs(), 2, 1) }
 
 func TestSearchRanksRelevantFirst(t *testing.T) {
 	ix := seedIndex()
@@ -87,9 +93,12 @@ func TestSitesSupporting(t *testing.T) {
 }
 
 func TestEmptyIndex(t *testing.T) {
-	ix := &Index{}
+	ix := BuildSharded(nil, 3, 1)
 	if got := ix.Search("anything", 5); got != nil {
 		t.Errorf("empty index returned hits")
+	}
+	if got := ix.SitesSupporting("anything"); got == nil || len(got) != 0 {
+		t.Errorf("empty index SitesSupporting = %v, want empty non-nil", got)
 	}
 	if ix.Len() != 0 || ix.Terms() != 0 {
 		t.Errorf("empty index counts wrong")
@@ -99,14 +108,25 @@ func TestEmptyIndex(t *testing.T) {
 	}
 }
 
+// TestAddFromSubtree: a QA-Object subtree indexes as its trimmed text
+// and is searchable.
 func TestAddFromSubtree(t *testing.T) {
-	ix := &Index{}
 	tree := htmlx.Parse(`<li>The <b>Big</b> Widget — $9.99</li>`)
-	doc := ix.Add(7, "shop", "widget", "http://s/1", tree.FindTag("li"))
-	if !strings.Contains(doc.Text, "Big Widget") {
-		t.Errorf("doc text = %q", doc.Text)
+	pl := &core.Pagelet{
+		Page: &corpus.Page{Query: "widget", URL: "http://s/1"},
+		Node: tree.FindTag("li"),
 	}
-	if len(ix.Search("widget", 1)) != 1 {
+	docs := DocsFromPagelets(7, "shop", []*core.Pagelet{pl}, nil)
+	if len(docs) != 1 || !strings.Contains(docs[0].Text, "Big Widget") {
+		t.Fatalf("docs = %+v", docs)
+	}
+	if docs[0].Text != strings.TrimSpace(docs[0].Text) {
+		t.Errorf("doc text not trimmed: %q", docs[0].Text)
+	}
+	if d := docs[0]; d.SiteID != 7 || d.SiteName != "shop" || d.ProbeQuery != "widget" || d.PageURL != "http://s/1" {
+		t.Errorf("doc provenance = %+v", d)
+	}
+	if len(BuildSharded(docs, 1, 1).Search("widget", 1)) != 1 {
 		t.Error("subtree document not searchable")
 	}
 }
@@ -114,22 +134,22 @@ func TestAddFromSubtree(t *testing.T) {
 // TestIngestEndToEnd: THOR extraction feeding the index, then fine-grained
 // search across sites — the deep-web search engine loop.
 func TestIngestEndToEnd(t *testing.T) {
-	ix := &Index{}
 	pt := objects.NewPartitioner(objects.Config{})
 	prober := &probe.Prober{Plan: probe.NewPlan(60, 6, 4), Labeler: deepweb.Labeler()}
-	totalDocs := 0
+	var docs []Doc
 	for id := 0; id < 3; id++ {
 		site := deepweb.NewSite(deepweb.SiteConfig{ID: id, Seed: 42})
 		col := prober.ProbeSite(site)
 		res := core.NewExtractor(core.DefaultConfig()).Extract(col.Pages)
-		added := ix.IngestPagelets(site.ID(), site.Name(), res.Pagelets, pt)
-		if added == 0 {
+		added := DocsFromPagelets(site.ID(), site.Name(), res.Pagelets, pt)
+		if len(added) == 0 {
 			t.Fatalf("site %d contributed no objects", id)
 		}
-		totalDocs += added
+		docs = append(docs, added...)
 	}
-	if ix.Len() != totalDocs {
-		t.Errorf("index len %d != ingested %d", ix.Len(), totalDocs)
+	ix := BuildSharded(docs, 3, 2)
+	if ix.Len() != len(docs) {
+		t.Errorf("index len %d != ingested %d", ix.Len(), len(docs))
 	}
 	// Fine-grained search: one of the probed words must retrieve objects
 	// whose text contains it.
@@ -145,26 +165,33 @@ func TestIngestEndToEnd(t *testing.T) {
 }
 
 func TestIngestNilPartitioner(t *testing.T) {
-	ix := &Index{}
 	site := deepweb.NewSite(deepweb.SiteConfig{ID: 0, Seed: 42})
 	prober := &probe.Prober{Plan: probe.NewPlan(30, 3, 4), Labeler: deepweb.Labeler()}
 	col := prober.ProbeSite(site)
 	res := core.NewExtractor(core.DefaultConfig()).Extract(col.Pages)
-	if added := ix.IngestPagelets(0, "x", res.Pagelets, nil); added == 0 {
+	if docs := DocsFromPagelets(0, "x", res.Pagelets, nil); len(docs) == 0 {
 		t.Error("nil partitioner should default, not drop objects")
 	}
 }
 
 func TestDeterministicTieOrder(t *testing.T) {
-	ix := &Index{}
-	for i := 0; i < 5; i++ {
-		ix.AddText(1, "s", "q", fmt.Sprintf("http://x/%d", i), "same words here")
+	docs := make([]Doc, 5)
+	for i := range docs {
+		docs[i] = Doc{SiteID: 1, SiteName: "s", ProbeQuery: "q", PageURL: fmt.Sprintf("http://x/%d", i), Text: "same words here"}
 	}
+	ix := BuildSharded(docs, 2, 1)
 	a := ix.Search("same words", 5)
 	b := ix.Search("same words", 5)
+	if len(a) != 5 {
+		t.Fatalf("hits = %d, want 5", len(a))
+	}
 	for i := range a {
 		if a[i].Doc.PageURL != b[i].Doc.PageURL {
 			t.Fatal("tie order not deterministic")
+		}
+		// Equal scores break ties by ascending URL.
+		if want := fmt.Sprintf("http://x/%d", i); a[i].Doc.PageURL != want {
+			t.Errorf("tie %d = %s, want %s", i, a[i].Doc.PageURL, want)
 		}
 	}
 }

@@ -7,29 +7,11 @@ import (
 	"thor/internal/objects"
 )
 
-// IngestPagelets runs stage three over extracted pagelets and indexes
-// every QA-Object. It returns the number of documents added. siteID and
-// siteName identify the source; each pagelet contributes its partitioned
-// objects with the probe query and page URL they came from.
-func (ix *Index) IngestPagelets(siteID int, siteName string, pagelets []*core.Pagelet, pt *objects.Partitioner) int {
-	if pt == nil {
-		pt = objects.NewPartitioner(objects.Config{})
-	}
-	added := 0
-	for _, pl := range pagelets {
-		for _, obj := range pt.Partition(pl.Node, pl.Objects) {
-			ix.Add(siteID, siteName, pl.Page.Query, pl.Page.URL, obj)
-			added++
-		}
-	}
-	return added
-}
-
 // DocsFromPagelets runs stage three over extracted pagelets and renders
 // every QA-Object as an ingest spec — the Doc stream feeding sharded
-// builds (one extraction stream's contribution to IngestSharded). Text
-// normalization matches Index.Add, so the same pagelets ingested either
-// way index identically.
+// builds (one extraction stream's contribution to IngestSharded). Each
+// document's text is the object subtree's text, trimmed of surrounding
+// whitespace.
 func DocsFromPagelets(siteID int, siteName string, pagelets []*core.Pagelet, pt *objects.Partitioner) []Doc {
 	if pt == nil {
 		pt = objects.NewPartitioner(objects.Config{})

@@ -23,20 +23,20 @@ func TestIngestFromModelApply(t *testing.T) {
 	}
 
 	fresh := (&probe.Prober{Plan: probe.NewPlan(30, 3, 808), Labeler: deepweb.Labeler()}).ProbeSite(site)
-	ix := &Index{}
-	added := 0
+	var docs []Doc
 	for _, page := range fresh.Pages {
 		pagelets, err := m.Apply(page)
 		if err != nil {
 			t.Fatal(err)
 		}
-		added += ix.IngestPagelets(site.ID(), site.Name(), pagelets, nil)
+		docs = append(docs, DocsFromPagelets(site.ID(), site.Name(), pagelets, nil)...)
 	}
-	if added == 0 {
+	if len(docs) == 0 {
 		t.Fatal("served pagelets contributed no QA-Objects")
 	}
-	if ix.Len() != added {
-		t.Errorf("index len %d != ingested %d", ix.Len(), added)
+	ix := BuildSharded(docs, 2, 1)
+	if ix.Len() != len(docs) {
+		t.Errorf("index len %d != ingested %d", ix.Len(), len(docs))
 	}
 	// Each served page's probe query must retrieve only matching objects.
 	hits := ix.Search("music", 5)

@@ -4,13 +4,13 @@ import (
 	"compress/gzip"
 	"encoding/gob"
 	"fmt"
-	"io"
 	"os"
 )
 
-// The on-disk index format: a gzipped gob snapshot of the documents. The
-// postings are rebuilt on load — they are derivable, and re-deriving keeps
-// the format small and forward-compatible with posting-layout changes.
+// The legacy single-file index format: a gzipped gob snapshot of the
+// documents. It is read-only now — Open loads such a snapshot and builds
+// a Sharded index over its documents, so old snapshots keep serving —
+// and new indexes are written as segment directories (WriteDir).
 
 type docSnapshot struct {
 	SiteID     int
@@ -27,30 +27,16 @@ type indexSnapshot struct {
 
 const indexVersion = 1
 
-// Write serializes the index to w.
-func (ix *Index) Write(w io.Writer) error {
-	snap := indexSnapshot{Version: indexVersion}
-	for _, d := range ix.docs {
-		snap.Docs = append(snap.Docs, docSnapshot{
-			SiteID: d.SiteID, SiteName: d.SiteName,
-			ProbeQuery: d.ProbeQuery, PageURL: d.PageURL, Text: d.Text,
-		})
+// readSnapshotFile loads the documents of a single-file snapshot at path,
+// in the order they were indexed.
+func readSnapshotFile(path string) ([]Doc, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("qaindex: %w", err)
 	}
-	gz := gzip.NewWriter(w)
-	encErr := gob.NewEncoder(gz).Encode(&snap)
-	closeErr := gz.Close() // Close flushes; its error means truncated output
-	if encErr != nil {
-		return fmt.Errorf("qaindex: encode: %w", encErr)
-	}
-	if closeErr != nil {
-		return fmt.Errorf("qaindex: compress: %w", closeErr)
-	}
-	return nil
-}
-
-// Read loads an index written by Write, rebuilding the postings.
-func Read(r io.Reader) (*Index, error) {
-	gz, err := gzip.NewReader(r)
+	//thorlint:allow no-unchecked-error closing a read-only file cannot lose data
+	defer f.Close()
+	gz, err := gzip.NewReader(f)
 	if err != nil {
 		return nil, fmt.Errorf("qaindex: decompress: %w", err)
 	}
@@ -63,33 +49,12 @@ func Read(r io.Reader) (*Index, error) {
 	if snap.Version != indexVersion {
 		return nil, fmt.Errorf("qaindex: unsupported format version %d", snap.Version)
 	}
-	ix := &Index{}
-	for _, d := range snap.Docs {
-		ix.AddText(d.SiteID, d.SiteName, d.ProbeQuery, d.PageURL, d.Text)
+	docs := make([]Doc, len(snap.Docs))
+	for i, d := range snap.Docs {
+		docs[i] = Doc{
+			SiteID: d.SiteID, SiteName: d.SiteName,
+			ProbeQuery: d.ProbeQuery, PageURL: d.PageURL, Text: d.Text,
+		}
 	}
-	return ix, nil
-}
-
-// WriteFile writes the index to path.
-func (ix *Index) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("qaindex: %w", err)
-	}
-	werr := ix.Write(f)
-	if cerr := f.Close(); werr == nil && cerr != nil {
-		werr = fmt.Errorf("qaindex: %w", cerr)
-	}
-	return werr
-}
-
-// ReadFile loads an index from path.
-func ReadFile(path string) (*Index, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("qaindex: %w", err)
-	}
-	//thorlint:allow no-unchecked-error closing a read-only file cannot lose data
-	defer f.Close()
-	return Read(f)
+	return docs, nil
 }

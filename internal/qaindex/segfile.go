@@ -261,7 +261,7 @@ func OpenDir(dir string) (*Sharded, error) {
 
 // Open loads a search index from path in either on-disk format: a
 // segment directory (WriteDir) loads directly; a legacy single-file gob
-// snapshot (Index.WriteFile) is read and resharded into `shards`
+// snapshot (persist.go, read-only) is read and resharded into `shards`
 // segments with `workers` builders — the migration path that keeps old
 // snapshots serving.
 func Open(path string, shards, workers int) (*Sharded, error) {
@@ -272,9 +272,9 @@ func Open(path string, shards, workers int) (*Sharded, error) {
 	if info.IsDir() {
 		return OpenDir(path)
 	}
-	ix, err := ReadFile(path)
+	docs, err := readSnapshotFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return ix.Sharded(shards, workers), nil
+	return BuildSharded(docs, shards, workers), nil
 }

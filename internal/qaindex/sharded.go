@@ -10,8 +10,8 @@ import (
 // across N immutable Segments by a deterministic content hash, and top-k
 // queries run the max-score/block-max kernel (topk.go) over every
 // segment with shared global statistics, so scores — and therefore
-// rankings — are bit-identical to the exhaustive legacy Index over the
-// same document stream.
+// rankings — are bit-identical to an exhaustive BM25 scan over the same
+// document stream (the oracle the contract tests keep).
 //
 // A Sharded index is immutable once built; concurrent searches are safe
 // and allocation-free warm (the per-query scratch is pooled).
@@ -118,7 +118,7 @@ func (s *Sharded) Terms() int {
 }
 
 // Search returns the top-k documents for a free-text query under BM25,
-// bit-identical to Index.Search over the same documents.
+// bit-identical to an exhaustive scan over the same documents.
 func (s *Sharded) Search(query string, k int) []Hit {
 	return s.SearchInto(nil, query, k, -1)
 }
@@ -143,7 +143,7 @@ func (s *Sharded) SearchInto(dst []Hit, query string, k, siteFilter int) []Hit {
 
 // SitesSupporting returns, for a topic query, the distinct sources whose
 // indexed objects match it, ordered by their best-scoring object —
-// bit-identical to the legacy Index implementation.
+// bit-identical to aggregating an exhaustive scan per site.
 func (s *Sharded) SitesSupporting(query string) []SiteHit {
 	if s.n == 0 {
 		return []SiteHit{}

@@ -48,8 +48,9 @@ func synthCorpus(n int, seed int64) []Doc {
 	return docs
 }
 
-func legacyFromDocs(docs []Doc) *Index {
-	ix := &Index{}
+// legacyFromDocs builds the oracle index over docs in stream order.
+func legacyFromDocs(docs []Doc) *legacyIndex {
+	ix := &legacyIndex{}
 	for _, d := range docs {
 		ix.AddText(d.SiteID, d.SiteName, d.ProbeQuery, d.PageURL, d.Text)
 	}
@@ -141,7 +142,7 @@ func TestShardedSitesSupportingContract(t *testing.T) {
 // oldSitesSupporting is the pre-refactor implementation verbatim (rank
 // the whole corpus, then aggregate per site) — the regression oracle for
 // the one-pass rewrite.
-func oldSitesSupporting(ix *Index, query string) []SiteHit {
+func oldSitesSupporting(ix *legacyIndex, query string) []SiteHit {
 	best := make(map[int]*SiteHit)
 	for _, h := range ix.Search(query, ix.Len()) {
 		sh, ok := best[h.Doc.SiteID]

@@ -11,9 +11,9 @@ import (
 // boundPad is the safety factor multiplied into every score upper bound
 // (list-level, block-level, and partial-sum bounds). Bounds are compared
 // against the top-k threshold with strict <, and actual scores are
-// re-derived in exact legacy float-addition order, so the kernel may
-// only skip a document when its *padded* bound is strictly below the
-// threshold. The pad (1 part in 10⁹) dwarfs the ~1-ulp-per-term rounding
+// re-derived in the exhaustive scan's exact float-addition order, so the
+// kernel may only skip a document when its *padded* bound is strictly
+// below the threshold. The pad (1 part in 10⁹) dwarfs the ~1-ulp-per-term rounding
 // difference between bound arithmetic and the true sum, making
 // over-pruning impossible while costing a negligible amount of extra
 // scoring.
@@ -21,7 +21,7 @@ const boundPad = 1 + 1e-9
 
 // planTerm is one unique query term in the query plan: its stemmed form,
 // its occurrence count in the query (a duplicated term contributes once
-// per occurrence, exactly like the legacy scan), its corpus-wide
+// per occurrence, exactly like the exhaustive scan), its corpus-wide
 // document frequency, and the global IDF derived from it.
 type planTerm struct {
 	term string
@@ -113,7 +113,7 @@ func (sc *searchScratch) prepare(s *Sharded, query string) bool {
 			continue
 		}
 		alive = true
-		// Same expression as the legacy scan, with the global df.
+		// Same expression as the exhaustive scan, with the global df.
 		t.idf = math.Log(1 + (float64(s.n)-float64(df)+0.5)/(float64(df)+0.5))
 	}
 	for i, slot := range sc.tokens {
@@ -198,7 +198,7 @@ func compareSegTerms(a, b segTerm) int {
 // heapHitWorse reports whether a ranks strictly worse than b: lower
 // score first, then greater URL, then greater (segment, doc) position.
 // The score/URL legs match hitWorse, so sharded rankings agree with the
-// legacy scan wherever the legacy order is deterministic.
+// exhaustive scan wherever its order is deterministic.
 func heapHitWorse(a, b heapHit) bool {
 	//thorlint:allow no-float-eq deterministic tie-break on equal scores
 	if a.score != b.score {
@@ -295,7 +295,7 @@ func (s *Sharded) searchTopK(sc *searchScratch, dst []Hit, query string, k, site
 //     matching it) reaches θ; scoring itself abandons early once the
 //     accumulated-actual + remaining-bound sum falls below θ.
 //   - A fully scored candidate's final score is re-accumulated in query
-//     token order — the legacy scan's float addition order — so every
+//     token order — the exhaustive scan's float addition order — so every
 //     emitted score is bit-identical to exhaustive BM25.
 func (s *Sharded) scanSegment(sc *searchScratch, seg *Segment, si int32, k, siteFilter int) {
 	if len(seg.docs) == 0 || !sc.segPlan(seg) {
@@ -374,7 +374,7 @@ func (s *Sharded) scanSegment(sc *searchScratch, seg *Segment, si int32, k, site
 			}
 		}
 		if !abandoned {
-			// Exact score: token-order accumulation, the legacy float
+			// Exact score: token-order accumulation, the exhaustive scan's float
 			// addition sequence. Absent terms add an exact +0.
 			score := 0.0
 			for _, slot := range sc.tokens {

@@ -141,7 +141,7 @@ func (a *Accumulator) FinishInterned() Interned {
 // dropped before weighting (the model's DF-miss rule), the survivors are
 // weighted with TFIDFWeight's exact arithmetic, and each vector is
 // normalized over the kept terms only. Per document, the result is
-// bit-identical to the model-side Vectorize composition
+// bit-identical to weighting that document on its own
 // (FromMap(tfidf-weighted counts).Normalize()): both visit terms in
 // ascending order and normalize over the same surviving weights. In raw
 // mode df is not consulted — the vectors are already normalized raw

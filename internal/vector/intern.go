@@ -68,7 +68,7 @@ type rawTerm struct {
 	inDict bool
 }
 
-// InternCounts builds the IDVec that Intern(Vectorize-style weighting of
+// InternCounts builds the IDVec that Intern(the TFIDF or raw weighting of
 // counts) would produce, straight in ID space: no intermediate count or
 // weight maps, no string-keyed Sparse. It is the serve-path fusion of
 //
